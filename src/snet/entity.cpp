@@ -407,6 +407,17 @@ void Entity::live_delta_sub(SessionState* session) {
   live_deltas_.push_back(LiveDelta{session, 0, 1});
 }
 
+bool Entity::buffers_record_of(const SessionState* s) const {
+  for (const EmitBuffer& buf : emit_bufs_) {
+    for (const Message& m : buf.msgs) {
+      if (m.kind == Message::Kind::Rec && m.rec.session_state() == s) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 void Entity::flush_all() {
   if (emit_pending_ == 0 && det_deltas_.empty() && live_deltas_.empty()) {
     return;

@@ -6,20 +6,21 @@
 /// associated with a type signature. However, unlike box signatures they
 /// are inferred by the compiler." (paper, §4).
 ///
-/// Inference runs in two phases:
+/// Inference combines two walks:
 ///
-///  1. `required_input` — bottom-up: the label sets a network needs on
-///     incoming records (used both for checking and for best-match routing
-///     at parallel combinators).
-///  2. `propagate` — forward: starting from the network's own input
-///     variants, compute the (lower-bound) types of records each component
-///     can produce, *including flow inheritance* — excess labels of an
-///     input record re-appear on outputs. This is what makes the paper's
-///     Fig. 2 filter `[{} -> {<k>=1}]` check out against a downstream
-///     `!!<k>` even though `board`/`opts` "do not occur in the filter".
+///  * `required_input` — bottom-up: the label sets a network needs on
+///    incoming records (used both for checking and for best-match routing
+///    at parallel combinators).
+///  * `propagate` — forward: starting from the network's own input
+///    variants, the (lower-bound) types of records each component can
+///    produce, *including flow inheritance* — excess labels of an input
+///    record re-appear on outputs. This is what makes the paper's Fig. 2
+///    filter `[{} -> {<k>=1}]` check out against a downstream `!!<k>` even
+///    though `board`/`opts` "do not occur in the filter".
 ///
-/// Serial composition and serial replication verify connectability and
-/// raise TypeCheckError on mismatch. Output types are lower bounds: by
+/// The forward walk is the shape-flow verifier's (verify.hpp); `propagate`
+/// and `infer` are its fail-fast view and raise TypeCheckError with the
+/// verifier's first Error diagnostic. Output types are lower bounds: by
 /// record subtyping, actual records may always carry additional labels.
 
 #include <stdexcept>
@@ -44,16 +45,17 @@ struct NetSignature {
   }
 };
 
-/// Infers the full signature of \p net (phase 1 + phase 2), checking
-/// combinator compatibility. Throws TypeCheckError with the offending
-/// subexpression.
+/// Infers the full signature of \p net (required input, propagated to the
+/// output), checking combinator compatibility. Throws TypeCheckError with
+/// the offending subexpression.
 NetSignature infer(const Net& net);
 
-/// Phase 1 only: the input variants \p net accepts.
+/// The input variants \p net accepts.
 MultiType required_input(const Net& net);
 
-/// Phase 2 only: output variants produced when \p incoming variants are
-/// fed in. Throws TypeCheckError when a variant cannot be handled.
+/// Output variants produced when \p incoming variants are fed in (none
+/// for an empty \p incoming). Throws TypeCheckError when a variant cannot
+/// be handled or a serial replication cannot make progress.
 MultiType propagate(const Net& net, const MultiType& incoming);
 
 /// True when a record of (lower-bound) type \p produced is accepted by a

@@ -74,6 +74,10 @@ class InputDispatchEntity final : public Entity {
  private:
   /// Drops every staged record of a released/errored session.
   void drop_staged(SessionState* s) SNETSAC_REQUIRES(quantum_role_);
+  /// Network::dispatch_delist, after flushing the emission buffers: once
+  /// \p s is delisted, its client's next inject may go straight into the
+  /// entry and would overtake a record still buffered here.
+  bool delist(SessionState* s) SNETSAC_REQUIRES(quantum_role_);
   /// Fires staging-queue credit waiters collected during a turn.
   void fire_released() SNETSAC_REQUIRES(quantum_role_);
 

@@ -172,6 +172,16 @@ class Entity {
     return static_cast<bool>(stall_gate_);
   }
 
+  /// Applies pending increments, pushes every buffer (one push_all per
+  /// target; a congested bounded target requests a stall), then applies
+  /// pending decrements and clears the accumulators. Runs at every quantum
+  /// exit; entities may call it earlier.
+  void flush_all() SNETSAC_REQUIRES(quantum_role_);
+  /// True while a record of session \p s sits in an emission buffer, not
+  /// yet pushed to its target.
+  bool buffers_record_of(const SessionState* s) const
+      SNETSAC_REQUIRES(quantum_role_);
+
   /// True when the network runs with batched emission (Options::batching);
   /// entities that stage per-quantum work (the output demux) key their
   /// behaviour off this.
@@ -253,11 +263,6 @@ class Entity {
       SNETSAC_REQUIRES(quantum_role_);
   void live_delta_add(SessionState* session) SNETSAC_REQUIRES(quantum_role_);
   void live_delta_sub(SessionState* session) SNETSAC_REQUIRES(quantum_role_);
-  /// Applies pending increments, pushes every buffer (one push_all per
-  /// target; a congested bounded target requests a stall), then applies
-  /// pending decrements and clears the accumulators.
-  void flush_all() SNETSAC_REQUIRES(quantum_role_);
-
   std::string name_;
   snetsac::runtime::MpscQueue<Message> inbox_;
   /// Quantum drain buffer (reused across quanta; only the worker currently

@@ -98,6 +98,22 @@ inline Net operator|(Net a, Net b) { return parallel(std::move(a), std::move(b))
 /// Structural pretty-printer in the paper's algebraic notation.
 std::string describe(const Net& net);
 
+/// One branch of a parallel combinator's dispatcher, with its entity path.
+struct ParallelBranch {
+  Net net;
+  std::string path;
+};
+
+/// The branches of the parallel combinator \p par at \p prefix, left to
+/// right, as `Network::instantiate` builds them and the verifier scores
+/// them. With \p flatten, nested non-deterministic parallels merge into
+/// one N-ary list (det parallels stay opaque): argmax over the union picks
+/// the binary cascade's winners, since a combined branch scores the max
+/// over its variants. Paths follow the binary tree ("<prefix>/parL/parR").
+std::vector<ParallelBranch> parallel_branches(const Net& par,
+                                              const std::string& prefix,
+                                              bool flatten = true);
+
 }  // namespace snet
 
 #endif

@@ -86,17 +86,17 @@ enum class OverflowPolicy {
 };
 
 /// What Network construction does with the whole-topology shape-flow
-/// verifier's report (verify.hpp). Independent of the fail-fast signature
-/// inference, which always runs: a topology `infer` rejects never
-/// constructs, whatever this mode says.
+/// verifier's report (verify.hpp). The walk itself always runs — it also
+/// infers the signature — so a topology `infer` rejects never constructs,
+/// whatever this mode says.
 enum class VerifyMode {
-  /// Skip the verifier entirely.
+  /// Ignore the report (the config lints get no option values).
   Off,
   /// Print every diagnostic to stderr, then construct anyway.
   Warn,
   /// Throw VerifyError when the verifier reports anything at all —
-  /// warnings included (errors alone already fail construction via
-  /// inference; strict mode is for promoting dead branches, never-firing
+  /// warnings included (type errors fail construction in every mode;
+  /// strict mode is for promoting dead branches, never-firing
   /// synchrocells and config lints to hard failures).
   Strict,
 };
@@ -149,8 +149,6 @@ struct Options {
   /// the producer. Per-session FIFO and det order are preserved; false
   /// restores the per-record scalar path (the bench ablation mode).
   bool batching = true;
-  /// Run static signature inference/checking at construction.
-  bool type_check = true;
   /// Whole-topology shape-flow verification at construction: dead
   /// branches, never-firing synchrocells, unroutable records, star
   /// non-progress, config lint (see verify.hpp for the catalogue and the

@@ -3,19 +3,21 @@
 
 /// \file verify.hpp
 /// Whole-topology shape-flow verification: an abstract interpretation of
-/// record-type flow over the combinator tree. Where check.cpp's `infer`
-/// stops at the first combinator-compatibility violation, `verify` walks
-/// the *reachable type set* through every component — seeded from the
-/// entry signature (or a caller-supplied client type set), widened through
+/// record-type flow over the combinator tree. `verify` walks the
+/// *reachable type set* through every component — seeded from the entry
+/// signature (or a caller-supplied client type set), widened through
 /// boxes via their declared output lower bounds, through filters via their
 /// output specifiers, with flow inheritance and tag operations applied —
-/// and collects every diagnostic it can prove:
+/// and collects every diagnostic it can prove. This walk is the only
+/// forward type-flow implementation: check.hpp's `infer`/`propagate` are
+/// its fail-fast view (they throw the first Error), and `Network` runs it
+/// once per construction for both its signature and its report.
 ///
 ///  * `UnroutableRecord` — a reachable type no component at that point
 ///    accepts (box/filter input mismatch, a parallel combinator where no
 ///    branch matches, a split without the replication tag, a star variant
-///    that neither exits nor re-enters). These mirror exactly the cases
-///    `propagate` throws on, and the runtime's NetTypeError / FilterError.
+///    that neither exits nor re-enters) — the runtime's NetTypeError /
+///    FilterError cases.
 ///  * `DeadBranch` — a parallel branch that is never in the best-match
 ///    argmax set for any reachable type. Branch scoring goes through
 ///    `detail::ParallelRouter::tied_for`, the same argmax collection the
@@ -26,9 +28,11 @@
 ///  * `NeverFiringSync` — a synchrocell with a pattern slot no reachable
 ///    type can fill: the cell stores partial matches forever and its
 ///    output never appears.
-///  * `StarNoProgress` — a serial replication whose exit pattern is
+///  * `StarNoProgress` — a serial replication visit whose exit pattern is
 ///    unreachable from the closure of the replica's outputs: records
-///    circulate (or pile up) without ever being tapped out.
+///    circulate (or pile up) without ever being tapped out. Judged per
+///    visit — a star inside another star's replica must make progress on
+///    every round, not just on one.
 ///  * `Config*` — option values that statically guarantee wedge-or-spill:
 ///    a det/sync interior cap smaller than what a synchrocell must buffer
 ///    before it can ever fire, a session output credit below the
@@ -42,7 +46,7 @@
 /// the situation (unroutable records: more labels only raise match
 /// scores, but a variant already unroutable at a *box or filter* whose
 /// consumed type is not included stays broken for records of exactly that
-/// type — the same cases `infer` throws for; star exit unreachable), and a
+/// type; star exit unreachable), and a
 /// **Warning** when they could (a dead branch can win on a wider record;
 /// a sync slot can be filled by a wider record; config lints depend on
 /// runtime consumption patterns).
@@ -53,6 +57,7 @@
 /// standalone and renders a DOT overlay (dot.hpp).
 
 #include <cstddef>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -139,6 +144,26 @@ class VerifyError : public std::runtime_error {
 /// defects (they become diagnostics); throws std::invalid_argument only on
 /// a null \p net.
 VerifyReport verify(const Net& net, const VerifyOptions& opts = {});
+
+namespace detail {
+
+/// One forward shape-flow walk: its output types and its report together.
+struct ShapeFlow {
+  /// The (lower-bound) types of the records leaving the topology.
+  MultiType output;
+  VerifyReport report;
+  /// The first type-flow Error's message (what fail-fast inference
+  /// throws); config lints, which judge option values, never set it.
+  std::optional<std::string> type_error;
+};
+
+/// The walk behind `verify`, `infer`, `propagate` and Network
+/// construction. Flows exactly \p seed (an empty seed stays empty;
+/// `opts.seed` is not consulted) through the non-null \p net.
+ShapeFlow shape_flow(const Net& net, const MultiType& seed,
+                     const VerifyOptions& opts);
+
+}  // namespace detail
 
 }  // namespace snet
 

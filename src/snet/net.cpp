@@ -166,4 +166,25 @@ std::string describe(const Net& net) {
   return os.str();
 }
 
+namespace {
+void add_branch(const Net& n, const std::string& path, bool flatten,
+                std::vector<ParallelBranch>& out) {
+  if (flatten && n->kind == NetNode::Kind::Parallel && !n->det) {
+    add_branch(n->left, path + "/parL", flatten, out);
+    add_branch(n->right, path + "/parR", flatten, out);
+    return;
+  }
+  out.push_back(ParallelBranch{n, path});
+}
+}  // namespace
+
+std::vector<ParallelBranch> parallel_branches(const Net& par,
+                                              const std::string& prefix,
+                                              bool flatten) {
+  std::vector<ParallelBranch> out;
+  add_branch(par->left, prefix + "/parL", flatten, out);
+  add_branch(par->right, prefix + "/parR", flatten, out);
+  return out;
+}
+
 }  // namespace snet

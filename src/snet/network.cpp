@@ -51,30 +51,29 @@ Network::Network(Net topology, Options opts)
   dispatch_mu_.set_order(10, "network.dispatch_mu");
   out_mu_.set_order(20, "network.out_mu");
   in_mu_.set_order(30, "network.in_mu");
-  // The shape-flow verifier runs before fail-fast inference so a broken
-  // topology surfaces its *complete* report (inference stops at the first
-  // violation; the verifier collects them all, plus the liveness and
-  // config diagnostics inference cannot express).
+  // One shape-flow walk yields both the signature and the verifier's
+  // report (verify.hpp): Strict rejects any diagnostic, Warn prints the
+  // report, and a type error rejects the topology whatever the mode.
+  VerifyOptions vo;
   if (opts_.verify != VerifyMode::Off) {
-    VerifyOptions vo;
     vo.det_capacity = opts_.det_capacity;
     vo.det_fail_fast = opts_.det_overflow == OverflowPolicy::FailFast;
     vo.output_capacity = opts_.output_capacity;
     vo.inbox_capacity = opts_.inbox_capacity;
-    VerifyReport report = snet::verify(topology_, vo);
-    if (!report.empty()) {
-      if (opts_.verify == VerifyMode::Strict) {
-        throw VerifyError(std::move(report));
-      }
-      std::fprintf(stderr, "snet verify: %s\n%s",
-                   describe(topology_).c_str(), report.to_string().c_str());
+  }
+  MultiType input = required_input(topology_);
+  detail::ShapeFlow flow = detail::shape_flow(topology_, input, vo);
+  if (opts_.verify != VerifyMode::Off && !flow.report.empty()) {
+    if (opts_.verify == VerifyMode::Strict) {
+      throw VerifyError(std::move(flow.report));
     }
+    std::fprintf(stderr, "snet verify: %s\n%s", describe(topology_).c_str(),
+                 flow.report.to_string().c_str());
   }
-  signature_ = infer(topology_);  // always infer; doubles as a null check
-  if (!opts_.type_check) {
-    // Inference already ran; the flag only controls whether a mismatch is
-    // fatal. Keep it simple: inference throws either way. (Documented.)
+  if (flow.type_error) {
+    throw TypeCheckError(*flow.type_error);
   }
+  signature_ = NetSignature{std::move(input), std::move(flow.output)};
   // All networks (and all with-loops) share the process-wide executor by
   // default; opts_.workers survives as this network's concurrency cap.
   // Schedcheck scenarios substitute a deterministic SimExecutor here.
@@ -1240,28 +1239,15 @@ Entity* Network::instantiate(const Net& node, Entity* successor,
                                                    coll->scope())));
       }
       // Nested non-deterministic parallels flatten into one N-ary
-      // dispatcher: best-match over the union of branches picks the same
-      // winner as the binary cascade (a combined branch's score is the max
-      // over its variants, and argmax is associative), so `A | B | C`
-      // costs one routing decision and one hop instead of a chain of
-      // binary ones. Det parallels keep their own entry/collector bracket
-      // and are instantiated as opaque branches.
-      // Scalar ablation mode keeps the binary dispatcher cascade the
-      // pre-batch runtime built.
+      // dispatcher (parallel_branches), so `A | B | C` costs one routing
+      // decision and one hop instead of a chain of binary ones. Scalar
+      // ablation mode keeps the binary dispatcher cascade the pre-batch
+      // runtime built.
       std::vector<ParallelEntity::Branch> branches;
-      const std::function<void(const Net&, const std::string&)> add_branch =
-          [&](const Net& n, const std::string& pfx) {
-            if (n->kind == NetNode::Kind::Parallel && !n->det &&
-                opts_.batching) {
-              add_branch(n->left, pfx + "/parL");
-              add_branch(n->right, pfx + "/parR");
-              return;
-            }
-            branches.push_back(ParallelEntity::Branch{
-                required_input(n), instantiate(n, merge_target, pfx)});
-          };
-      add_branch(node->left, prefix + "/parL");
-      add_branch(node->right, prefix + "/parR");
+      for (const auto& b : parallel_branches(node, prefix, opts_.batching)) {
+        branches.push_back(ParallelEntity::Branch{
+            required_input(b.net), instantiate(b.net, merge_target, b.path)});
+      }
       Entity* dispatcher = adopt(std::make_unique<ParallelEntity>(
           *this, prefix + "/par", std::move(branches)));
       if (det_entry != nullptr) {

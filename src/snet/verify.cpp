@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
 #include "snet/check.hpp"
@@ -77,36 +76,27 @@ void add_unique(std::vector<RecordType>& vs, const RecordType& v) {
   }
 }
 
-/// Per-run analysis state. Post-pass bookkeeping is keyed by tree-position
-/// path (a subtree Net may be shared between two positions; paths are
-/// unique per position and match the entity names `Network::instantiate`
-/// would mint).
+/// Per-run analysis state. Post-pass bookkeeping is keyed by tree
+/// position: the path (matching the entity names `Network::instantiate`
+/// would mint) together with the node there, since Serial hands one path
+/// to both operands — in `(a|b) .. (c|d)` both parallels sit at "net/par".
 struct Ctx {
   std::vector<LintDiagnostic> diags;
 
+  using Position = std::pair<std::string, const NetNode*>;
   struct ParallelState {
     Net node;
-    std::vector<Net> branch_nodes;
-    std::vector<std::string> branch_paths;
-    std::vector<bool> hit;  // branch ever in the argmax set
-  };
-  struct SyncState {
-    Net node;
-    std::vector<bool> fillable;  // per pattern slot
-  };
-  struct StarState {
-    Net node;
-    bool exit_reached = false;
+    std::vector<ParallelBranch> branches;
+    std::vector<MultiType> inputs;  // per branch: its required input
+    std::vector<bool> hit;          // branch ever in the argmax set
   };
 
-  std::map<std::string, ParallelState> parallels;
-  std::map<std::string, SyncState> syncs;
-  std::map<std::string, StarState> stars;
+  std::map<Position, ParallelState> parallels;
+  std::map<Position, std::vector<bool>> syncs;  // per slot: fillable
   // First-visit order, so post-pass diagnostics come out in topology order
   // rather than std::map order.
-  std::vector<std::string> parallel_order;
-  std::vector<std::string> sync_order;
-  std::vector<std::string> star_order;
+  std::vector<Position> parallel_order;
+  std::vector<Position> sync_order;
 
   /// Emits once per (code, path, type): the star closure revisits interior
   /// components, and one defect should read as one diagnostic.
@@ -122,100 +112,81 @@ struct Ctx {
   }
 };
 
-/// The flattened branch list of a parallel combinator — the exact
-/// recursion `Network::instantiate`'s add_branch runs (nested
-/// non-deterministic parallels merge into one N-ary dispatcher; det
-/// parallels stay opaque branches). The scalar-ablation runtime keeps the
-/// binary cascade instead, but the winner sets are identical: a combined
-/// branch's score is the max over its variants' scores and argmax is
-/// associative, so verdicts here cover both modes.
-void collect_branches(const Net& n, const std::string& prefix,
-                      std::vector<std::pair<Net, std::string>>& out) {
-  if (n->kind == NetNode::Kind::Parallel && !n->det) {
-    collect_branches(n->left, prefix + "/parL", out);
-    collect_branches(n->right, prefix + "/parR", out);
-    return;
+RecordType type_of(const SigVariant& v) { return v.type(); }
+const RecordType& type_of(const RecordType& t) { return t; }
+
+/// The box and filter rule: a variant must carry every \p consumed label,
+/// and each declared output variant inherits the rest (flow inheritance).
+template <class Outputs>
+MultiType consume(const Net& n, const MultiType& incoming,
+                  const RecordType& consumed, const Outputs& outputs,
+                  const std::string& path, Ctx& ctx) {
+  std::vector<RecordType> out;
+  for (const auto& v : incoming.variants()) {
+    if (!consumed.included_in(v)) {
+      const bool is_box = n->kind == NetNode::Kind::Box;
+      ctx.diag(LintCode::UnroutableRecord, LintSeverity::Error,
+               is_box ? path + "/box:" + n->name : path + "/filter",
+               v.to_string(),
+               (is_box ? "box " + n->name + " with input type " +
+                             consumed.to_string()
+                       : "filter " + n->filter->to_string()) +
+                   " cannot accept records of type " + v.to_string());
+      continue;
+    }
+    const RecordType excess = v.minus(consumed);
+    for (const auto& o : outputs) {
+      add_unique(out, type_of(o).union_with(excess));
+    }
   }
-  out.emplace_back(n, prefix);
+  return MultiType(std::move(out));
 }
 
-/// Forward shape flow: the verifier's non-throwing mirror of
-/// check.cpp's `propagate`. Unhandleable variants become diagnostics and
-/// are dropped from the flow instead of aborting the walk, so one pass
-/// reports every defect. Returns the (lower-bound) output type set.
+/// Forward shape flow — the only implementation of the forward type
+/// rules. Unhandleable variants become diagnostics and are dropped from
+/// the flow instead of aborting the walk, so one pass reports every
+/// defect; `propagate`/`infer` throw the first Error. Returns the
+/// (lower-bound) output type set.
 MultiType flow(const Net& n, const MultiType& incoming, const std::string& path,
                Ctx& ctx) {
   if (incoming.empty()) {
     return {};
   }
   switch (n->kind) {
-    case NetNode::Kind::Box: {
-      const RecordType consumed = n->sig.input.type();
-      std::vector<RecordType> out;
-      for (const auto& v : incoming.variants()) {
-        if (!consumed.included_in(v)) {
-          ctx.diag(LintCode::UnroutableRecord, LintSeverity::Error,
-                   path + "/box:" + n->name, v.to_string(),
-                   "box " + n->name + " with input type " + consumed.to_string() +
-                       " cannot accept records of type " + v.to_string());
-          continue;
-        }
-        const RecordType excess = v.minus(consumed);
-        for (const auto& o : n->sig.outputs) {
-          add_unique(out, o.type().union_with(excess));
-        }
-      }
-      return MultiType(std::move(out));
-    }
-    case NetNode::Kind::Filter: {
-      const RecordType& pat = n->filter->pattern().type;
-      std::vector<RecordType> out;
-      for (const auto& v : incoming.variants()) {
-        if (!pat.included_in(v)) {
-          ctx.diag(LintCode::UnroutableRecord, LintSeverity::Error,
-                   path + "/filter", v.to_string(),
-                   "filter " + n->filter->to_string() +
-                       " cannot accept records of type " + v.to_string());
-          continue;
-        }
-        const RecordType excess = v.minus(pat);
-        const MultiType declared = n->filter->output_type();
-        for (const auto& ov : declared.variants()) {
-          add_unique(out, ov.union_with(excess));
-        }
-      }
-      return MultiType(std::move(out));
-    }
+    case NetNode::Kind::Box:
+      return consume(n, incoming, n->sig.input.type(), n->sig.outputs, path,
+                     ctx);
+    case NetNode::Kind::Filter:
+      return consume(n, incoming, n->filter->pattern().type,
+                     n->filter->output_type().variants(), path, ctx);
     case NetNode::Kind::Serial:
       return flow(n->right, flow(n->left, incoming, path, ctx), path, ctx);
     case NetNode::Kind::Parallel: {
-      std::vector<std::pair<Net, std::string>> branches;
-      collect_branches(n->left, path + "/parL", branches);
-      collect_branches(n->right, path + "/parR", branches);
+      // Parallel branches are scored over the flattened list the batched
+      // runtime dispatches from. The scalar-ablation runtime keeps the
+      // binary cascade, but its winner sets are identical, so verdicts
+      // here cover both modes.
       const std::string dpath = path + "/par";
-      auto [it, fresh] = ctx.parallels.try_emplace(dpath);
+      const Ctx::Position pos{dpath, n.get()};
+      auto [it, fresh] = ctx.parallels.try_emplace(pos);
       Ctx::ParallelState& st = it->second;
       if (fresh) {
         st.node = n;
-        st.hit.assign(branches.size(), false);
-        for (const auto& [bn, bp] : branches) {
-          st.branch_nodes.push_back(bn);
-          st.branch_paths.push_back(bp);
+        st.branches = parallel_branches(n, path);
+        for (const auto& b : st.branches) {
+          st.inputs.push_back(required_input(b.net));
         }
-        ctx.parallel_order.push_back(dpath);
+        st.hit.assign(st.branches.size(), false);
+        ctx.parallel_order.push_back(pos);
       }
-      std::vector<MultiType> inputs;
-      inputs.reserve(branches.size());
-      for (const auto& [bn, bp] : branches) {
-        inputs.push_back(required_input(bn));
-      }
+      const std::vector<ParallelBranch>& branches = st.branches;
       std::vector<std::vector<RecordType>> to(branches.size());
       for (const auto& v : incoming.variants()) {
         // The runtime router's own argmax collection over the same
         // flattened branch inputs: static verdict == dynamic tied set for
         // records of exactly this type, by construction.
         const std::vector<std::uint32_t> tied =
-            detail::ParallelRouter::tied_for(inputs, v);
+            detail::ParallelRouter::tied_for(st.inputs, v);
         if (tied.empty()) {
           ctx.diag(LintCode::UnroutableRecord, LintSeverity::Error, dpath,
                    v.to_string(),
@@ -231,23 +202,17 @@ MultiType flow(const Net& n, const MultiType& incoming, const std::string& path,
       MultiType out;
       for (std::size_t b = 0; b < branches.size(); ++b) {
         if (!to[b].empty()) {
-          out = out.union_with(
-              flow(branches[b].first, MultiType(std::move(to[b])),
-                   branches[b].second, ctx));
+          out = out.union_with(flow(branches[b].net, MultiType(std::move(to[b])),
+                                    branches[b].path, ctx));
         }
       }
       return out;
     }
     case NetNode::Kind::Star: {
       const std::string spath = path + "/star";
-      auto [it, fresh] = ctx.stars.try_emplace(spath);
-      Ctx::StarState& st = it->second;
-      if (fresh) {
-        st.node = n;
-        ctx.star_order.push_back(spath);
-      }
-      // Closure over the unfolding, as in propagate: a variant either taps
-      // out at the exit pattern or re-enters the replica; replica outputs
+      // Closure over the unfolding: a variant either taps out (matches the
+      // exit pattern's type — definitely, when there is no guard; possibly,
+      // when a guard is present) or re-enters the replica; replica outputs
       // join the frontier until no new variant appears. All unfolded
       // stages share one static position — "star/rep*".
       std::vector<RecordType> exits;
@@ -265,7 +230,6 @@ MultiType flow(const Net& n, const MultiType& incoming, const std::string& path,
           const bool must_exit = may_exit && !n->exit.guard.has_value();
           if (may_exit) {
             add_unique(exits, v);
-            st.exit_reached = true;
           }
           if (!must_exit) {
             if (!accepts_variant(child_in, v)) {
@@ -288,6 +252,18 @@ MultiType flow(const Net& n, const MultiType& incoming, const std::string& path,
                           spath + "/rep*", ctx)
                          .variants();
         }
+      }
+      // Progress is judged per visit: a star reached twice (say, inside
+      // another star's replica) may tap out on one visit and livelock on
+      // the other.
+      if (exits.empty()) {
+        ctx.diag(LintCode::StarNoProgress, LintSeverity::Error, spath,
+                 n->exit.to_string(),
+                 "serial replication `" + describe(n) +
+                     "`: no record can ever match the exit pattern " +
+                     n->exit.to_string() +
+                     " — records circulate in the replica chain without "
+                     "progress");
       }
       return MultiType(std::move(exits));
     }
@@ -312,12 +288,12 @@ MultiType flow(const Net& n, const MultiType& incoming, const std::string& path,
     }
     case NetNode::Kind::Sync: {
       const std::string cpath = path + "/sync";
-      auto [it, fresh] = ctx.syncs.try_emplace(cpath);
-      Ctx::SyncState& st = it->second;
+      const Ctx::Position pos{cpath, n.get()};
+      auto [it, fresh] =
+          ctx.syncs.try_emplace(pos, n->sync_patterns.size(), false);
+      std::vector<bool>& fillable = it->second;
       if (fresh) {
-        st.node = n;
-        st.fillable.assign(n->sync_patterns.size(), false);
-        ctx.sync_order.push_back(cpath);
+        ctx.sync_order.push_back(pos);
       }
       RecordType merged;
       for (std::size_t i = 0; i < n->sync_patterns.size(); ++i) {
@@ -325,11 +301,12 @@ MultiType flow(const Net& n, const MultiType& incoming, const std::string& path,
         merged = merged.union_with(p.type);
         for (const auto& v : incoming.variants()) {
           if (p.type.included_in(v)) {
-            st.fillable[i] = true;
+            fillable[i] = true;
           }
         }
       }
-      // Pass-through variants plus the merged record, as in propagate.
+      // Pass-through variants plus the merged record (lower bound: the
+      // union of all pattern labels with any triggering variant).
       std::vector<RecordType> out = incoming.variants();
       for (const auto& v : incoming.variants()) {
         add_unique(out, merged.union_with(v));
@@ -358,17 +335,11 @@ void walk_topology(const Net& n, const std::string& path, Fn&& fn) {
       walk_topology(n->left, path, fn);
       walk_topology(n->right, path, fn);
       return;
-    case NetNode::Kind::Parallel: {
-      std::vector<std::pair<Net, std::string>> branches;
-      collect_branches(n->left, path + "/parL", branches);
-      collect_branches(n->right, path + "/parR", branches);
-      for (const auto& [bn, bp] : branches) {
-        if (bn.get() != n.get()) {
-          walk_topology(bn, bp, fn);
-        }
+    case NetNode::Kind::Parallel:
+      for (const auto& b : parallel_branches(n, path)) {
+        walk_topology(b.net, b.path, fn);
       }
       return;
-    }
     case NetNode::Kind::Star:
       walk_topology(n->child, path + "/star/rep*", fn);
       return;
@@ -484,53 +455,42 @@ void config_lint(const Net& net, const VerifyOptions& opts, Ctx& ctx) {
 
 }  // namespace
 
-VerifyReport verify(const Net& net, const VerifyOptions& opts) {
-  if (!net) {
-    throw std::invalid_argument("verify: null topology");
-  }
+namespace detail {
+
+ShapeFlow shape_flow(const Net& net, const MultiType& seed,
+                     const VerifyOptions& opts) {
   Ctx ctx;
-  try {
-    const MultiType seed = opts.seed.empty() ? required_input(net) : opts.seed;
-    flow(net, seed, "net", ctx);
-  } catch (const TypeCheckError& e) {
-    // required_input only throws on corrupt/null subnodes — surface it
-    // rather than aborting the lint run.
-    ctx.diag(LintCode::UnroutableRecord, LintSeverity::Error, "net", "",
-             e.what());
+  ShapeFlow result;
+  result.output = flow(net, seed, "net", ctx);
+  for (const auto& d : ctx.diags) {
+    if (d.severity == LintSeverity::Error) {
+      result.type_error = d.message;
+      break;
+    }
   }
 
   // Post-pass: liveness verdicts need the whole reachable set.
-  for (const auto& dpath : ctx.parallel_order) {
-    const Ctx::ParallelState& st = ctx.parallels.at(dpath);
+  for (const auto& pos : ctx.parallel_order) {
+    const Ctx::ParallelState& st = ctx.parallels.at(pos);
     for (std::size_t b = 0; b < st.hit.size(); ++b) {
       if (!st.hit[b]) {
+        const std::string branch = describe(st.branches[b].net);
         ctx.diag(LintCode::DeadBranch, LintSeverity::Warning,
-                 st.branch_paths[b], describe(st.branch_nodes[b]),
+                 st.branches[b].path, branch,
                  "parallel combinator `" + describe(st.node) + "`: branch `" +
-                     describe(st.branch_nodes[b]) +
+                     branch +
                      "` is never the best-match winner for any reachable "
                      "record type (records may still arrive if clients "
                      "inject wider types than the declared signature)");
       }
     }
   }
-  for (const auto& spath : ctx.star_order) {
-    const Ctx::StarState& st = ctx.stars.at(spath);
-    if (!st.exit_reached) {
-      ctx.diag(LintCode::StarNoProgress, LintSeverity::Error, spath,
-               st.node->exit.to_string(),
-               "serial replication: no reachable record type can ever match "
-               "the exit pattern " + st.node->exit.to_string() +
-                   " — records circulate in the replica chain without "
-                   "progress");
-    }
-  }
-  for (const auto& cpath : ctx.sync_order) {
-    const Ctx::SyncState& st = ctx.syncs.at(cpath);
-    for (std::size_t i = 0; i < st.fillable.size(); ++i) {
-      if (!st.fillable[i]) {
-        const Pattern& p = st.node->sync_patterns[i];
-        ctx.diag(LintCode::NeverFiringSync, LintSeverity::Warning, cpath,
+  for (const auto& pos : ctx.sync_order) {
+    const std::vector<bool>& fillable = ctx.syncs.at(pos);
+    for (std::size_t i = 0; i < fillable.size(); ++i) {
+      if (!fillable[i]) {
+        const Pattern& p = pos.second->sync_patterns[i];
+        ctx.diag(LintCode::NeverFiringSync, LintSeverity::Warning, pos.first,
                  p.to_string(),
                  "synchrocell: no reachable record type fills pattern slot " +
                      p.to_string() +
@@ -541,7 +501,18 @@ VerifyReport verify(const Net& net, const VerifyOptions& opts) {
   }
 
   config_lint(net, opts, ctx);
-  return VerifyReport{std::move(ctx.diags)};
+  result.report.diagnostics = std::move(ctx.diags);
+  return result;
+}
+
+}  // namespace detail
+
+VerifyReport verify(const Net& net, const VerifyOptions& opts) {
+  if (!net) {
+    throw std::invalid_argument("verify: null topology");
+  }
+  const MultiType seed = opts.seed.empty() ? required_input(net) : opts.seed;
+  return detail::shape_flow(net, seed, opts).report;
 }
 
 }  // namespace snet

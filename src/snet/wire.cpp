@@ -49,6 +49,13 @@ enum ChunkTag : std::uint8_t {
 };
 
 constexpr std::size_t kChunkHeaderSize = 5;  // u8 tag + u32 length
+/// Smallest encodings, for bounding untrusted counts.
+constexpr std::size_t kMinLabelSize = 3;  // u8 kind + u16 name length
+/// u32 length + a record body's u32 shape, u32 session and u16 det count.
+constexpr std::size_t kMinGroupEntrySize = 14;
+/// Chunk payloads are read in pieces of at most this size, so a forged
+/// length costs memory only as far as the stream backs it.
+constexpr std::size_t kReadPieceSize = std::size_t{1} << 16;
 
 // "record belongs to no session" (a null session_state()). Id 0 is taken:
 // the default session is a real SessionState with id 0.
@@ -91,6 +98,19 @@ struct Cursor {
       throw WireError(std::string("truncated ") + context + ": " + item +
                       " needs " + std::to_string(n) + " bytes, " +
                       std::to_string(remaining()) + " left");
+    }
+  }
+
+  /// Checks an untrusted item count against the bytes left, before
+  /// anything is sized from it: \p count items of at least \p min_size
+  /// encoded bytes each must still fit.
+  void need_items(std::uint64_t count, std::size_t min_size,
+                  const char* item) const {
+    if (count > remaining() / min_size) {
+      throw WireError(std::string("malformed ") + context + ": " +
+                      std::to_string(count) + " " + item + " of at least " +
+                      std::to_string(min_size) + " bytes each, " +
+                      std::to_string(remaining()) + " bytes left");
     }
   }
 
@@ -605,6 +625,7 @@ bool apply_definition(std::uint8_t tag, const std::string& payload,
       Cursor cur{payload.data(), payload.data() + payload.size(),
                  "shape definition"};
       const auto count = cur.get<std::uint32_t>("label count");
+      cur.need_items(count, kMinLabelSize, "labels");
       std::vector<Label> labels;
       labels.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) {
@@ -779,17 +800,38 @@ std::optional<RawChunk> read_chunk(std::istream& in) {
   chunk.tag = static_cast<std::uint8_t>(hdr[0]);
   std::uint32_t len = 0;
   std::memcpy(&len, hdr + 1, 4);
-  chunk.payload.resize(len);
-  if (len != 0) {
-    in.read(chunk.payload.data(), len);
-    if (in.gcount() != static_cast<std::streamsize>(len)) {
+  // `len` is untrusted: grow the buffer only as the stream delivers.
+  while (chunk.payload.size() < len) {
+    const std::size_t have = chunk.payload.size();
+    const std::size_t piece = std::min<std::size_t>(kReadPieceSize, len - have);
+    chunk.payload.resize(have + piece);
+    in.read(chunk.payload.data() + have, static_cast<std::streamsize>(piece));
+    if (in.gcount() != static_cast<std::streamsize>(piece)) {
       throw WireError("truncated chunk payload: tag 0x" +
                       std::to_string(chunk.tag) + " declares " +
                       std::to_string(len) + " bytes, got " +
-                      std::to_string(in.gcount()));
+                      std::to_string(have + static_cast<std::size_t>(in.gcount())));
     }
   }
   return chunk;
+}
+
+/// Decodes the records of a group frame whose key and count \p cur has
+/// just read.
+std::vector<Record> decode_group_records(Cursor& cur, std::uint32_t count,
+                                         const ReadTables& tables,
+                                         const Resolvers& resolvers) {
+  cur.need_items(count, kMinGroupEntrySize, "group records");
+  std::vector<Record> out;
+  out.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const auto len = cur.get<std::uint32_t>("group record length");
+    cur.need(len, "group record body");
+    out.push_back(decode_record_body(cur.p, len, tables, resolvers));
+    cur.p += len;
+  }
+  cur.done();
+  return out;
 }
 
 }  // namespace
@@ -830,17 +872,8 @@ std::optional<Record> WireReader::next() {
         const auto key = cur.get<std::uint64_t>("group key");
         const auto count = cur.get<std::uint32_t>("group record count");
         groups_.push_back(GroupInfo{key, chunk->offset, count});
-        pending_.clear();
+        pending_ = decode_group_records(cur, count, *tables_, resolvers_);
         pending_pos_ = 0;
-        pending_.reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const auto len = cur.get<std::uint32_t>("group record length");
-          cur.need(len, "group record body");
-          pending_.push_back(
-              decode_record_body(cur.p, len, *tables_, resolvers_));
-          cur.p += len;
-        }
-        cur.done();
         if (pending_.empty()) {
           continue;  // empty frame, keep scanning
         }
@@ -909,16 +942,7 @@ std::vector<Record> WireReader::read_group(const GroupInfo& info) {
                     std::to_string(info.key));
   }
   const auto count = cur.get<std::uint32_t>("group record count");
-  std::vector<Record> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const auto len = cur.get<std::uint32_t>("group record length");
-    cur.need(len, "group record body");
-    out.push_back(decode_record_body(cur.p, len, *tables_, resolvers_));
-    cur.p += len;
-  }
-  cur.done();
-  return out;
+  return decode_group_records(cur, count, *tables_, resolvers_);
 }
 
 std::vector<Record> read_all(std::istream& in, Resolvers resolvers) {

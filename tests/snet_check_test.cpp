@@ -78,6 +78,16 @@ TEST(Check, ParallelRoutesVariantsToBestBranch) {
   EXPECT_EQ(out.to_string(), "{u} | {v}");
 }
 
+TEST(Check, SerialParallelsRouteOverTheirOwnBranches) {
+  // Serial hands one path to both operands, so both parallels sit at
+  // "net/par"; the second must still route over C and D, not A and B.
+  const auto n = parallel(mkbox("A", "(a) -> (x)"), mkbox("B", "(b) -> (y)")) >>
+                 parallel(mkbox("C", "(x) -> (p)"), mkbox("D", "(y) -> (q)"));
+  const auto sig = infer(n);
+  EXPECT_EQ(sig.input.to_string(), "{a} | {b}");
+  EXPECT_EQ(sig.output.to_string(), "{p} | {q}");
+}
+
 TEST(Check, ParallelUnroutableVariantRejected) {
   const auto n = parallel(mkbox("a", "(x) -> (u)"), mkbox("b", "(y) -> (v)"));
   EXPECT_THROW(propagate(n, MultiType({RecordType::of({"z"})})), TypeCheckError);
@@ -133,6 +143,13 @@ TEST(Check, SyncSignature) {
     has_merged |= v == RecordType::of({"a", "b"});
   }
   EXPECT_TRUE(has_merged);
+  // Each variant appears once: {a} and {b} both merge to {a, b}.
+  const auto& vs = sig.output.variants();
+  for (std::size_t i = 0; i < vs.size(); ++i) {
+    for (std::size_t j = i + 1; j < vs.size(); ++j) {
+      EXPECT_FALSE(vs[i] == vs[j]) << "duplicate variant in " << sig.to_string();
+    }
+  }
 }
 
 TEST(Check, DescribeRendersAlgebraicNotation) {

@@ -158,6 +158,27 @@ TEST(Verify, FillableSyncIsClean) {
   EXPECT_EQ(report.count(LintCode::NeverFiringSync), 0U) << report.to_string();
 }
 
+TEST(Verify, SerialSyncsTrackTheirOwnSlots) {
+  // Both cells sit at "net/sync". The second one's three slots are
+  // unreachable from {a} | {b}, and must be judged on their own.
+  const Net n = sync({"{a}", "{b}"}) >> sync({"{c}", "{d}", "{e}"});
+  const VerifyReport report = verify(n);
+  EXPECT_EQ(report.count(LintCode::NeverFiringSync), 3U) << report.to_string();
+  for (const auto& d : report.diagnostics) {
+    EXPECT_EQ(d.path, "net/sync");
+    EXPECT_NE(d.type, "{a}") << report.to_string();
+    EXPECT_NE(d.type, "{b}") << report.to_string();
+  }
+}
+
+TEST(Verify, SerialParallelsAreScoredSeparately) {
+  const Net n =
+      parallel(mkbox("A", "(a) -> (x)"), mkbox("B", "(b) -> (y)")) >>
+      parallel(mkbox("C", "(x) -> (p)"), mkbox("D", "(y) -> (q)"));
+  const VerifyReport report = verify(n);
+  EXPECT_TRUE(report.empty()) << report.to_string();
+}
+
 // ------------------------------------------------------------- star progress
 
 TEST(Verify, StarNoProgressIsError) {
@@ -172,6 +193,24 @@ TEST(Verify, StarNoProgressIsError) {
   const LintDiagnostic* d = find(report, LintCode::StarNoProgress);
   EXPECT_EQ(d->severity, LintSeverity::Error);
   EXPECT_EQ(d->path, "net/star");
+  EXPECT_EQ(d->type, "{<done>}");
+}
+
+TEST(Verify, NestedStarProgressJudgedPerVisit) {
+  // The outer star's first round feeds {p, <done>} to the inner star, which
+  // taps it out at once; its second round feeds {p}, which circulates in
+  // the inner star forever. One visit reaching the exit must not excuse
+  // the other.
+  const Net inner = star(mkbox("f", "(p) -> (p)"), "{<done>}");
+  const Net n = filter("{p} -> {p, <done>=1}") >>
+                star(inner >> filter("{p, <done>} -> {p}; {p, <out>=1}"),
+                     "{<out>}");
+  EXPECT_THROW(infer(n), TypeCheckError);
+  const VerifyReport report = verify(n);
+  ASSERT_EQ(report.count(LintCode::StarNoProgress), 1U) << report.to_string();
+  const LintDiagnostic* d = find(report, LintCode::StarNoProgress);
+  EXPECT_EQ(d->severity, LintSeverity::Error);
+  EXPECT_EQ(d->path, "net/star/rep*/star");
   EXPECT_EQ(d->type, "{<done>}");
 }
 

@@ -419,3 +419,59 @@ TEST(Wire, UnregisteredPayloadTypeFailsOnWrite) {
   wire::WireWriter w(os);
   EXPECT_THROW(w.record(r), wire::WireError);
 }
+
+// ------------------------------------------------ bounded allocation
+// Forged counts must be rejected before anything is sized from them. The
+// `wire_bounded_alloc` ctest entry runs these under a 1 GiB address-space
+// limit, so an allocation sized from the forged count fails loudly there.
+
+namespace {
+
+template <class T>
+void put_raw(std::string& out, T v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+/// A valid 12-byte stream header followed by one chunk header.
+std::string stream_with_chunk(std::uint8_t tag, std::uint32_t len) {
+  std::string out("SNETWIRE", 8);
+  put_raw<std::uint16_t>(out, 1);  // version
+  put_raw<std::uint16_t>(out, 0);  // flags
+  put_raw<std::uint8_t>(out, tag);
+  put_raw<std::uint32_t>(out, len);
+  return out;
+}
+
+void expect_next_rejects(const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::binary);
+  wire::WireReader reader(in);
+  EXPECT_THROW(reader.next(), wire::WireError);
+}
+
+}  // namespace
+
+TEST(WireBoundedAlloc, ChunkLengthBeyondTheStream) {
+  std::string bytes = stream_with_chunk(0x04, 0xFFFFFFF0u);  // a record chunk
+  bytes += "only a few bytes follow";
+  expect_next_rejects(bytes);
+}
+
+TEST(WireBoundedAlloc, ShapeDefinitionLabelCount) {
+  std::string bytes = stream_with_chunk(0x01, 4);  // a shape definition
+  put_raw<std::uint32_t>(bytes, std::uint32_t{1} << 28);
+  expect_next_rejects(bytes);
+}
+
+TEST(WireBoundedAlloc, GroupRecordCount) {
+  std::string bytes = stream_with_chunk(0x05, 12);  // a group frame
+  put_raw<std::uint64_t>(bytes, 42);                // key
+  put_raw<std::uint32_t>(bytes, 0xFFFFFFFFu);       // record count
+  expect_next_rejects(bytes);
+
+  // The random-access path decodes the same frame through read_group.
+  std::istringstream in(bytes, std::ios::binary);
+  wire::WireReader reader(in);
+  reader.scan();
+  ASSERT_EQ(reader.groups().size(), 1U);
+  EXPECT_THROW(reader.read_group(reader.groups()[0]), wire::WireError);
+}
