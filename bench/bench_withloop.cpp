@@ -3,7 +3,7 @@
 /// `Context::compiled` ablation axis — both modes run identical With
 /// objects, single-threaded, so the ratio isolates the engine).
 ///
-/// Four measurements:
+/// Five measurements:
 ///  * `dense_genarray`   — 1024x1024 rank-2 genarray from a coordinate
 ///    kernel body: the paper's bread-and-butter dense with-loop. GATED.
 ///  * `modarray_addnumber` — sudoku::add_number on a 25x25 board (15625-cell
@@ -11,6 +11,10 @@
 ///  * `fold_sum`         — dense rank-2 fold through the same kernel.
 ///  * `fused_chain`      — genarray→map→zip_with→fold in one segment pass
 ///    vs the unfused interpreted pipeline (intermediates and all).
+///  * `generic_stencil`  — a 512x512 Jacobi modarray written in the paper's
+///    generic form, a `gen` body over `const Index&` with five bounds-checked
+///    selections per cell: the body path every box in the stencil workload
+///    takes.
 ///
 /// Emits BENCH_withloop.json with elements/sec per mode and the in-binary
 /// `withloop_compiled_speedup` ratio on compiled rows; the acceptance bar
@@ -135,6 +139,31 @@ double fused_chain_eps(bool compiled, std::int64_t& sink) {
   });
 }
 
+// ------------------------------------------------------- generic stencil
+
+constexpr std::int64_t kSide = 512;
+
+double generic_stencil_eps(bool compiled, std::int64_t& sink) {
+  const Context ctx{1, 1024, compiled};
+  Array<double> g(Shape{kSide, kSide}, 0.0);
+  for (std::int64_t i = 0; i < g.element_count(); ++i) {
+    g.set_linear(i, static_cast<double>(i % 101));
+  }
+  const auto w = With<double>().gen(
+      {1, 1}, {kSide - 1, kSide - 1}, [&g](const sac::Index& iv) {
+        const auto i = iv[0];
+        const auto j = iv[1];
+        const double centre = g[{i, j}];
+        const double around =
+            g[{i - 1, j}] + g[{i + 1, j}] + g[{i, j - 1}] + g[{i, j + 1}];
+        return centre + 0.5 * (around / 4.0 - centre);
+      });
+  return best_eps((kSide - 2) * (kSide - 2), [&] {
+    const auto next = w.modarray(g, ctx);
+    sink += static_cast<std::int64_t>(next.linear(kSide + 1));
+  });
+}
+
 void emit(std::vector<benchjson::Row>& rows, const std::string& bench,
           const char* mode, std::int64_t elems, double eps, double speedup) {
   benchjson::Row r;
@@ -165,6 +194,8 @@ int main() {
       {"withloop_modarray_addnumber", addnumber_eps, 25 * 25 * 25, true},
       {"withloop_fold_sum", fold_sum_eps, kN * kN, false},
       {"withloop_fused_chain", fused_chain_eps, kN * kN, false},
+      {"withloop_generic_stencil", generic_stencil_eps, (kSide - 2) * (kSide - 2),
+       false},
   };
 
   std::vector<benchjson::Row> rows;

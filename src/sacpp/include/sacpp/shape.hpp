@@ -48,9 +48,23 @@ class Shape {
   /// Row-major linearisation of a full index vector. Throws ShapeError on
   /// rank mismatch or out-of-bounds component. The pointer form lets hot
   /// call sites (single-cell set/get in inner loops) pass a braced index
-  /// without materialising a heap-allocated Index.
-  std::int64_t linearize(const Index& iv) const;
-  std::int64_t linearize(const std::int64_t* iv, std::size_t n) const;
+  /// without materialising a heap-allocated Index. Inline, so a with-loop
+  /// body's selections compile into its row loop; only the error path is
+  /// out of line.
+  std::int64_t linearize(const Index& iv) const { return linearize(iv.data(), iv.size()); }
+  std::int64_t linearize(const std::int64_t* iv, std::size_t n) const {
+    if (n != dims_.size()) {
+      throw_linearize_error(iv, n);
+    }
+    std::int64_t off = 0;
+    for (std::size_t a = 0; a < n; ++a) {
+      if (iv[a] < 0 || iv[a] >= dims_[a]) {
+        throw_linearize_error(iv, n);
+      }
+      off = off * dims_[a] + iv[a];
+    }
+    return off;
+  }
 
   /// True when \p iv has matching rank and every component is in bounds.
   bool contains(const Index& iv) const;
@@ -69,6 +83,9 @@ class Shape {
 
  private:
   void validate() const;
+  /// Throws linearize's ShapeError for \p iv: the rank mismatch, or else
+  /// the out-of-bounds component.
+  [[noreturn]] void throw_linearize_error(const std::int64_t* iv, std::size_t n) const;
   std::vector<std::int64_t> dims_;
 };
 

@@ -30,9 +30,10 @@
 ///    Generators are decomposed at entry into a SegmentPlan (overlap
 ///    resolved at setup, so no cell is written twice); each segment runs as
 ///    a plain countable loop over raw storage — `std::fill` for constant
-///    bodies, the typed kernel for `gen_kernel` generators, a tight
-///    index-reusing loop for `std::function` bodies. Executor chunking
-///    distributes segment ranges.
+///    bodies, the typed kernel for `gen_kernel` generators, and for generic
+///    `gen` bodies a row loop instantiated for the body's own type, which
+///    inlines the body and reuses one index vector (no per-element indirect
+///    call). Executor chunking distributes segment ranges.
 ///  * **Interpreted (reference)** — the original per-element engine:
 ///    recursive per-axis iteration calling `Body` through `std::function`
 ///    with full index-vector linearisation per cell. Kept as the ablation
@@ -140,22 +141,27 @@ class With {
                                     const Index& row_prefix, std::int64_t col_lo,
                                     std::int64_t col_hi)>;
 
-  /// Generator `lb <= iv < ub` with body expression \p body.
-  With& gen(SpecIndex lb, SpecIndex ub, Body body) {
-    check_bounds_rank(lb, ub);
-    if (gens_.capacity() == 0) {
-      gens_.reserve(4);  // the common case (cf. addNumber) in one allocation
-    }
-    Generator& g = gens_.emplace_back();
-    g.spec.lb = std::move(lb);
-    g.spec.ub = std::move(ub);
+  /// Generator `lb <= iv < ub` with body expression \p body, a callable
+  /// `T(const Index&)`. The body is stored once, as the reference `Body`;
+  /// for rank >= 1 the compiled engine runs it through `run_generic_row<F>`,
+  /// a row loop that calls it by its own type and so inlines it.
+  template <class F>
+  With& gen(SpecIndex lb, SpecIndex ub, F body) {
+    static_assert(std::is_invocable_v<const F&, const Index&>,
+                  "gen: the body must be callable as const with an Index "
+                  "(cells are evaluated concurrently, in no fixed order)");
+    Generator& g = add(std::move(lb), std::move(ub));
     g.body = std::move(body);
+    if (!g.spec.lb.empty()) {
+      g.run_row = &run_generic_row<F>;
+    }
     return *this;
   }
 
   /// Generator `lb <= iv <= ub` (the inclusive form used by the paper's
   /// `addNumber`); normalised to an exclusive upper bound.
-  With& gen_incl(SpecIndex lb, SpecIndex ub, Body body) {
+  template <class F>
+  With& gen_incl(SpecIndex lb, SpecIndex ub, F body) {
     for (auto& c : ub) {
       c += 1;
     }
@@ -167,22 +173,15 @@ class With {
   /// Body is materialised at all (both engines branch on is_const), so
   /// building one costs two Index moves and nothing else.
   With& gen_val(SpecIndex lb, SpecIndex ub, T value) {
-    check_bounds_rank(lb, ub);
-    if (gens_.capacity() == 0) {
-      gens_.reserve(4);
-    }
-    Generator& g = gens_.emplace_back();
-    g.spec.lb = std::move(lb);
-    g.spec.ub = std::move(ub);
-    g.is_const = true;
-    g.const_val = std::move(value);
+    add_const(std::move(lb), std::move(ub), std::move(value));
     return *this;
   }
   With& gen_incl_val(SpecIndex lb, SpecIndex ub, T value) {
     for (auto& c : ub) {
       c += 1;
     }
-    return gen_val(std::move(lb), std::move(ub), std::move(value));
+    add_const(std::move(lb), std::move(ub), std::move(value));
+    return *this;
   }
 
   /// Typed-kernel generator. \p f is either
@@ -196,10 +195,7 @@ class With {
   /// false` still evaluates the same generator per element.
   template <class F>
   With& gen_kernel(SpecIndex lb, SpecIndex ub, F f) {
-    check_bounds_rank(lb, ub);
-    Generator& g = gens_.emplace_back();
-    g.spec.lb = std::move(lb);
-    g.spec.ub = std::move(ub);
+    Generator& g = add(std::move(lb), std::move(ub));
     if constexpr (std::is_invocable_v<F, storage*, std::int64_t, const Index&,
                                       std::int64_t, std::int64_t>) {
       g.kernel = Kernel(f);
@@ -302,8 +298,12 @@ class With {
   /// except that per-chunk partial results are combined in index order.
   /// Overlapping generators each contribute all their elements (no overlap
   /// resolution — fold is a multiset reduction, not an array build).
-  T fold(const std::function<T(T, T)>& combine, T neutral,
-         const Context& ctx = default_context()) const {
+  /// The compiled engine inlines \p combine into its loops; the interpreted
+  /// engine calls it through a `std::function`, as the ablation baseline.
+  template <class C>
+  T fold(C combine, T neutral, const Context& ctx = default_context()) const {
+    const std::function<T(T, T)> reference_combine =
+        ctx.compiled ? std::function<T(T, T)>() : std::function<T(T, T)>(combine);
     T acc = neutral;
     for (const auto& g : gens_) {
       validate_striding(g.spec);  // before any member-count division by step
@@ -315,7 +315,8 @@ class With {
       if (ctx.compiled) {
         acc = fold_generator_compiled(g, combine, std::move(acc), neutral, ctx, est);
       } else {
-        acc = fold_generator_reference(g, combine, std::move(acc), neutral, ctx, est);
+        acc = fold_generator_reference(g, reference_combine, std::move(acc), neutral,
+                                       ctx, est);
       }
     }
     return acc;
@@ -327,20 +328,109 @@ class With {
 
   static constexpr int kRawKernel = -2;
 
+  /// Row runner of a generic body: for every j in [lo, hi) sets
+  /// `iv[last] = j` and writes `out[base + (j - lo)] = body(iv)`. \p iv
+  /// arrives full-rank with its prefix already loaded.
+  using RowRunner = void (*)(const Body& body, storage* out, std::int64_t base,
+                             Index& iv, std::int64_t lo, std::int64_t hi);
+
   struct Generator {
+    Generator(SpecIndex&& lb, SpecIndex&& ub)
+        : spec{std::move(lb), std::move(ub), {}, {}} {}
+
     GeneratorSpec spec;
     Body body;        // always present: the interpreted/reference evaluator
     Kernel kernel;    // optional typed segment kernel (compiled engine)
+    RowRunner run_row = nullptr;  // gen bodies of rank >= 1 (compiled engine)
     bool is_const = false;
     T const_val{};
     int coord_arity = -1;  // 1..3 for coordinate kernels, kRawKernel, or -1
   };
 
-  static void check_bounds_rank(const SpecIndex& lb, const SpecIndex& ub) {
+  /// The RowRunner for a `gen` body of type \p F. The loop calls the body
+  /// by its static type, reached inside \p body (the generator's only copy
+  /// of it), so the body inlines into the loop. Values convert through T
+  /// exactly as the reference engine's `Body` call does.
+  template <class F>
+  static void run_generic_row(const Body& body, storage* out, std::int64_t base,
+                              Index& iv, std::int64_t lo, std::int64_t hi) {
+    const std::size_t last = iv.size() - 1;
+    storage* p = out + base;
+    if constexpr (std::is_same_v<F, Body>) {
+      // The caller handed over a Body itself: its target type is unknown.
+      for (std::int64_t j = lo; j < hi; ++j) {
+        iv[last] = j;
+        p[j - lo] = static_cast<storage>(body(iv));
+      }
+    } else {
+      const F* f = body.template target<F>();
+      if (f == nullptr) {
+        throw std::bad_function_call();  // a null function pointer body
+      }
+      const Index& civ = iv;
+      for (std::int64_t j = lo; j < hi; ++j) {
+        iv[last] = j;
+        p[j - lo] = static_cast<storage>(static_cast<T>((*f)(civ)));
+      }
+    }
+  }
+
+  /// Writes the values of the non-constant generator \p g over the cells
+  /// [lo, hi) of one row to `out[base, base + hi - lo)`. Kernels read the
+  /// row prefix from \p pre, generic bodies from \p iv (full rank); the
+  /// caller loads whichever applies. A rank-0 body is the one generator
+  /// without a kernel or runner: one call on the empty index.
+  static void eval_row(const Generator& g, storage* out, std::int64_t base,
+                       const Index& pre, Index& iv, std::int64_t lo, std::int64_t hi) {
+    if (g.kernel) {
+      g.kernel(out, base, pre, lo, hi);
+    } else if (g.run_row != nullptr) {
+      g.run_row(g.body, out, base, iv, lo, hi);
+    } else {
+      out[base] = static_cast<storage>(g.body(iv));
+    }
+  }
+
+  /// Row buffer that folds and fused chains evaluate into before consuming
+  /// the values. Rows up to kInline cells live inline, so short rows
+  /// (sudoku's 9-cell option rows) never allocate; longer rows use a vector
+  /// that grows once and is reused.
+  class RowScratch {
+   public:
+    storage* get(std::int64_t n) {
+      if (n <= kInline) {
+        return inline_;
+      }
+      if (static_cast<std::int64_t>(heap_.size()) < n) {
+        heap_.resize(static_cast<std::size_t>(n));
+      }
+      return heap_.data();
+    }
+
+   private:
+    static constexpr std::int64_t kInline = 64;
+    storage inline_[kInline];
+    std::vector<storage> heap_;
+  };
+
+  /// Appends a generator over `lb <= iv < ub`, its bounds moved into place
+  /// (by reference all the way: a SpecIndex is 64 bytes, and with-loops are
+  /// built on every call of sudoku's hot functions).
+  Generator& add(SpecIndex&& lb, SpecIndex&& ub) {
     if (lb.size() != ub.size()) {
       throw ShapeError("generator bounds " + index_to_string(lb) + " and " +
                        index_to_string(ub) + " differ in rank");
     }
+    if (gens_.capacity() == 0) {
+      gens_.reserve(4);  // the common case (cf. addNumber) in one allocation
+    }
+    return gens_.emplace_back(std::move(lb), std::move(ub));
+  }
+
+  void add_const(SpecIndex&& lb, SpecIndex&& ub, T&& value) {
+    Generator& g = add(std::move(lb), std::move(ub));
+    g.is_const = true;
+    g.const_val = std::move(value);
   }
 
   Generator& last() {
@@ -593,6 +683,19 @@ class With {
   /// merged into one longer run. Without this the generic run walk pays a
   /// memset call (or odometer dispatch) per single-cell row, which costs
   /// more than the whole generator's worth of stores.
+  /// Stores \p v to \p len cells \p stride apart from \p p. Everything
+  /// arrives by value: a byte-storage store may alias any memory, so loop
+  /// bounds read through a reference would be reloaded after every store.
+  static void store_run(storage* p, std::int64_t len, std::int64_t stride, storage v) {
+    if (stride == 1 && len >= 16) {
+      std::fill(p, p + len, v);
+      return;
+    }
+    for (std::int64_t t = 0; t < len; ++t, p += stride) {
+      *p = v;
+    }
+  }
+
   static void fill_dense(const GeneratorSpec& g, storage* out,
                          const std::int64_t* strides, storage v) {
     const std::size_t rank = g.lb.size();
@@ -634,15 +737,8 @@ class With {
     }
     const std::int64_t len = ext[m - 1];
     const std::int64_t lstr = str[m - 1];
-    const auto run = [&](std::int64_t b) {
-      if (lstr == 1 && len >= 16) {
-        std::fill(out + b, out + b + len, v);
-      } else {
-        storage* p = out + b;
-        for (std::int64_t t = 0; t < len; ++t, p += lstr) {
-          *p = v;
-        }
-      }
+    const auto run = [out, v, len, lstr](std::int64_t b) {
+      store_run(out + b, len, lstr, v);
     };
     if (m == 1) {
       run(base);
@@ -716,17 +812,6 @@ class With {
       if (out == nullptr) {
         out = result.mutable_data().data();
       }
-      if (rank == 0) {
-        const Index empty;
-        if (g.is_const) {
-          out[0] = static_cast<storage>(g.const_val);
-        } else if (g.kernel) {
-          g.kernel(out, 0, empty, 0, 1);
-        } else {
-          out[0] = static_cast<storage>(g.body(empty));
-        }
-        continue;
-      }
       if (g.is_const && g.spec.step.empty()) {
         fill_dense(g.spec, out, strides, static_cast<storage>(g.const_val));
         continue;
@@ -747,16 +832,9 @@ class With {
                   if (g.is_const) {
                     std::fill(out + base, out + base + (hi - lo),
                               static_cast<storage>(g.const_val));
-                  } else if (g.kernel) {
-                    std::copy(p, p + last, pre_ix.begin());
-                    g.kernel(out, base, pre_ix, lo, hi);
                   } else {
-                    std::copy(p, p + last, iv.begin());
-                    std::int64_t at = base;
-                    for (std::int64_t j = lo; j < hi; ++j, ++at) {
-                      iv[last] = j;
-                      out[at] = static_cast<storage>(g.body(iv));
-                    }
+                    std::copy(p, p + last, g.kernel ? pre_ix.begin() : iv.begin());
+                    eval_row(g, out, base, pre_ix, iv, lo, hi);
                   }
                 });
     }
@@ -807,19 +885,9 @@ class With {
         if (g.is_const) {
           std::fill(out + s.base, out + s.base + len,
                     static_cast<storage>(g.const_val));
-        } else if (g.kernel) {
-          load_prefix(plan, s, pre);
-          g.kernel(out, s.base, pre, s.col_lo, s.col_hi);
-        } else if (rank == 0) {
-          const Index empty;
-          out[s.base] = static_cast<storage>(g.body(empty));
         } else {
-          load_prefix(plan, s, iv);
-          std::int64_t at = s.base;
-          for (std::int64_t j = s.col_lo; j < s.col_hi; ++j, ++at) {
-            iv[static_cast<std::size_t>(rank - 1)] = j;
-            out[at] = static_cast<storage>(g.body(iv));
-          }
+          load_prefix(plan, s, g.kernel ? pre : iv);
+          eval_row(g, out, s.base, pre, iv, s.col_lo, s.col_hi);
         }
       }
     };
@@ -844,27 +912,26 @@ class With {
   T fold_generator_compiled(const Generator& g, const C& combine, T acc,
                             const T& neutral, const Context& ctx,
                             std::int64_t est) const {
-    const int rank0 = static_cast<int>(g.spec.lb.size());
+    const std::size_t rank = g.spec.lb.size();
+    const std::size_t last = rank > 0 ? rank - 1 : 0;
     if (ctx.threads <= 1 || est < ctx.grain) {
       // Plan-free sequential fold over the generator's runs; scratch
-      // Index/vector state is allocated only for kernel/body generators.
+      // index vectors are allocated only for kernel/body generators.
       std::int64_t pre_buf[kMaxStackRank];
       std::vector<std::int64_t> deep;
       std::int64_t* pre = pre_buf;
-      if (rank0 > kMaxStackRank) {
-        deep.resize(static_cast<std::size_t>(rank0));
+      if (rank > kMaxStackRank) {
+        deep.resize(rank);
         pre = deep.data();
       }
-      const std::size_t last =
-          rank0 > 0 ? static_cast<std::size_t>(rank0 - 1) : 0;
       Index pre_ix;
       Index iv;
-      std::vector<storage> scratch;
+      RowScratch scratch;
       if (!g.is_const) {
         if (g.kernel) {
           pre_ix.assign(last, 0);
         } else {
-          iv.assign(static_cast<std::size_t>(rank0), 0);
+          iv.assign(rank, 0);
         }
       }
       walk_runs(g.spec, pre,
@@ -873,22 +940,13 @@ class With {
                     for (std::int64_t t = lo; t < hi; ++t) {
                       acc = combine(acc, g.const_val);
                     }
-                  } else if (g.kernel) {
-                    scratch.resize(static_cast<std::size_t>(hi - lo));
-                    std::copy(p, p + last, pre_ix.begin());
-                    g.kernel(scratch.data(), 0, pre_ix, lo, hi);
-                    for (const storage& v : scratch) {
-                      acc = combine(acc, static_cast<T>(v));
-                    }
-                  } else if (rank0 == 0) {
-                    const Index empty;
-                    acc = combine(acc, g.body(empty));
-                  } else {
-                    std::copy(p, p + last, iv.begin());
-                    for (std::int64_t j = lo; j < hi; ++j) {
-                      iv[last] = j;
-                      acc = combine(acc, g.body(iv));
-                    }
+                    return;
+                  }
+                  std::copy(p, p + last, g.kernel ? pre_ix.begin() : iv.begin());
+                  storage* vals = scratch.get(hi - lo);
+                  eval_row(g, vals, 0, pre_ix, iv, lo, hi);
+                  for (std::int64_t t = 0; t < hi - lo; ++t) {
+                    acc = combine(acc, static_cast<T>(vals[t]));
                   }
                 });
       return acc;
@@ -900,40 +958,29 @@ class With {
     const SegmentPlan plan({g.spec}, bounding, /*resolve_overlap=*/false,
                            /*with_complement=*/false);
     const auto& segs = plan.segments();
-    const int rank = static_cast<int>(g.spec.lb.size());
 
-    const auto eval_segment = [&](const Segment& s, T part,
-                                  std::vector<storage>& scratch, Index& iv,
-                                  Index& pre) -> T {
+    const auto eval_segment = [&](const Segment& s, T part, RowScratch& scratch,
+                                  Index& iv, Index& pre) -> T {
       const std::int64_t len = s.count();
       if (g.is_const) {
         for (std::int64_t t = 0; t < len; ++t) {
           part = combine(part, g.const_val);
         }
-      } else if (g.kernel) {
-        scratch.resize(static_cast<std::size_t>(len));
-        load_prefix(plan, s, pre);
-        g.kernel(scratch.data(), 0, pre, s.col_lo, s.col_hi);
-        for (std::int64_t t = 0; t < len; ++t) {
-          part = combine(part, static_cast<T>(scratch[static_cast<std::size_t>(t)]));
-        }
-      } else if (rank == 0) {
-        const Index empty;
-        part = combine(part, g.body(empty));
-      } else {
-        load_prefix(plan, s, iv);
-        for (std::int64_t j = s.col_lo; j < s.col_hi; ++j) {
-          iv[static_cast<std::size_t>(rank - 1)] = j;
-          part = combine(part, g.body(iv));
-        }
+        return part;
+      }
+      load_prefix(plan, s, g.kernel ? pre : iv);
+      storage* vals = scratch.get(len);
+      eval_row(g, vals, 0, pre, iv, s.col_lo, s.col_hi);
+      for (std::int64_t t = 0; t < len; ++t) {
+        part = combine(part, static_cast<T>(vals[t]));
       }
       return part;
     };
 
-    if (ctx.threads <= 1 || est < ctx.grain || segs.size() <= 1) {
-      std::vector<storage> scratch;
-      Index iv(static_cast<std::size_t>(rank), 0);
-      Index pre(rank > 0 ? static_cast<std::size_t>(rank - 1) : 0, 0);
+    if (segs.size() <= 1) {
+      RowScratch scratch;
+      Index iv(rank, 0);
+      Index pre(last, 0);
       for (const Segment& s : segs) {
         acc = eval_segment(s, std::move(acc), scratch, iv, pre);
       }
@@ -962,9 +1009,9 @@ class With {
         sac_pool(), 0, static_cast<std::int64_t>(ranges.size()), 1,
         [&](std::int64_t c) {
           T part = neutral;
-          std::vector<storage> scratch;
-          Index iv(static_cast<std::size_t>(rank), 0);
-          Index pre(rank > 0 ? static_cast<std::size_t>(rank - 1) : 0, 0);
+          RowScratch scratch;
+          Index iv(rank, 0);
+          Index pre(last, 0);
           const auto& [rlo, rhi] = ranges[static_cast<std::size_t>(c)];
           for (std::int64_t i = rlo; i < rhi; ++i) {
             part = eval_segment(segs[static_cast<std::size_t>(i)], std::move(part),
@@ -1257,11 +1304,10 @@ class Fused {
   template <class Emit>
   void run_segments(const SegmentPlan& plan, std::int64_t lo, std::int64_t hi,
                     const detail::storage_t<T>* sp, const Emit& emit) const {
-    using TS = detail::storage_t<T>;
     const int rank = shape_.rank();
     Index iv(static_cast<std::size_t>(rank), 0);
     Index pre(rank > 0 ? static_cast<std::size_t>(rank - 1) : 0, 0);
-    std::vector<TS> scratch;
+    typename With<T>::RowScratch scratch;
     for (std::int64_t si = lo; si < hi; ++si) {
       const Segment& s = plan.segments()[static_cast<std::size_t>(si)];
       const std::int64_t len = s.count();
@@ -1282,23 +1328,13 @@ class Fused {
         for (std::int64_t t = 0; t < len; ++t) {
           emit(s.base + t, g.const_val);
         }
-      } else if (g.kernel) {
-        scratch.resize(static_cast<std::size_t>(len));
-        With<T>::load_prefix(plan, s, pre);
-        g.kernel(scratch.data(), 0, pre, s.col_lo, s.col_hi);
-        for (std::int64_t t = 0; t < len; ++t) {
-          emit(s.base + t, static_cast<T>(scratch[static_cast<std::size_t>(t)]));
-        }
-      } else if (rank == 0) {
-        const Index empty;
-        emit(s.base, g.body(empty));
-      } else {
-        With<T>::load_prefix(plan, s, iv);
-        std::int64_t at = s.base;
-        for (std::int64_t j = s.col_lo; j < s.col_hi; ++j, ++at) {
-          iv[static_cast<std::size_t>(rank - 1)] = j;
-          emit(at, g.body(iv));
-        }
+        continue;
+      }
+      With<T>::load_prefix(plan, s, g.kernel ? pre : iv);
+      auto* vals = scratch.get(len);
+      With<T>::eval_row(g, vals, 0, pre, iv, s.col_lo, s.col_hi);
+      for (std::int64_t t = 0; t < len; ++t) {
+        emit(s.base + t, static_cast<T>(vals[t]));
       }
     }
   }

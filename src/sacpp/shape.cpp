@@ -29,25 +29,13 @@ std::vector<std::int64_t> Shape::strides() const {
   return s;
 }
 
-std::int64_t Shape::linearize(const Index& iv) const {
-  return linearize(iv.data(), iv.size());
-}
-
-std::int64_t Shape::linearize(const std::int64_t* iv, std::size_t n) const {
-  if (static_cast<int>(n) != rank()) {
-    throw ShapeError("index " + index_to_string(Index(iv, iv + n)) +
-                     " has rank " + std::to_string(n) + ", array has rank " +
-                     std::to_string(rank()));
+void Shape::throw_linearize_error(const std::int64_t* iv, std::size_t n) const {
+  if (n != dims_.size()) {
+    throw ShapeError("index " + index_to_string(Index(iv, iv + n)) + " has rank " +
+                     std::to_string(n) + ", array has rank " + std::to_string(rank()));
   }
-  std::int64_t off = 0;
-  for (std::size_t a = 0; a < dims_.size(); ++a) {
-    if (iv[a] < 0 || iv[a] >= dims_[a]) {
-      throw ShapeError("index " + index_to_string(Index(iv, iv + n)) +
-                       " out of bounds for shape " + to_string());
-    }
-    off = off * dims_[a] + iv[a];
-  }
-  return off;
+  throw ShapeError("index " + index_to_string(Index(iv, iv + n)) +
+                   " out of bounds for shape " + to_string());
 }
 
 bool Shape::contains(const Index& iv) const {

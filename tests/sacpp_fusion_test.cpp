@@ -24,6 +24,8 @@ using sac::With;
 namespace {
 const Context kCompiled1{1, 1024, true};
 const Context kReference1{1, 1024, false};
+// Grain 1 sends every chain through the pool over the segment plan.
+const Context kPool3{3, 1, true};
 
 Array<int> sample_array(std::int64_t rows, std::int64_t cols) {
   std::vector<int> data;
@@ -168,10 +170,12 @@ TEST(Fusion, RandomChainsCompiledMatchesInterpreted) {
     const auto ref = chain.to_array(kReference1);
     ASSERT_EQ(chain.to_array(kCompiled1), ref) << "trial " << trial;
     ASSERT_EQ(chain.to_array(par4), ref) << "parallel trial " << trial;
+    ASSERT_EQ(chain.to_array(kPool3), ref) << "pool trial " << trial;
     const auto plus = [](int a, int b) { return a + b; };
     const int fref = chain.fold(plus, 0, kReference1);
     ASSERT_EQ(chain.fold(plus, 0, kCompiled1), fref) << "fold trial " << trial;
     ASSERT_EQ(chain.fold(plus, 0, par4), fref) << "parallel fold trial " << trial;
+    ASSERT_EQ(chain.fold(plus, 0, kPool3), fref) << "pool fold trial " << trial;
   }
 }
 

@@ -60,6 +60,28 @@ TEST(Shape, LinearizeChecksRankAndBounds) {
   EXPECT_EQ(s.linearize({2, 3}), 11);
 }
 
+TEST(Shape, LinearizeErrorMessages) {
+  const Shape s{3, 4};
+  const auto message = [&](std::initializer_list<std::int64_t> iv) -> std::string {
+    try {
+      s.linearize(iv.begin(), iv.size());
+    } catch (const ShapeError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(message({1}), "index [1] has rank 1, array has rank 2");
+  EXPECT_EQ(message({1, 2, 3}), "index [1,2,3] has rank 3, array has rank 2");
+  EXPECT_EQ(message({3, 0}), "index [3,0] out of bounds for shape [3,4]");
+  EXPECT_EQ(message({0, -1}), "index [0,-1] out of bounds for shape [3,4]");
+  try {
+    s.linearize(Index{2, 4});
+    ADD_FAILURE() << "out-of-bounds Index accepted";
+  } catch (const ShapeError& e) {
+    EXPECT_STREQ(e.what(), "index [2,4] out of bounds for shape [3,4]");
+  }
+}
+
 TEST(Shape, Contains) {
   const Shape s{2, 2};
   EXPECT_TRUE(s.contains({0, 0}));

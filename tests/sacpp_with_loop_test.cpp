@@ -244,6 +244,10 @@ INSTANTIATE_TEST_SUITE_P(ThreadSweep, WithLoopParallel,
 namespace {
 const Context kCompiled1{1, 1024, true};
 const Context kReference1{1, 1024, false};
+// Grain 1 sends every with-loop through the pool: the segment-plan path of
+// the compiled engine, the chunked rows of the reference engine.
+const Context kPool3{3, 1, true};
+const Context kReferencePool3{3, 1, false};
 }  // namespace
 
 TEST(WithLoopKernel, CoordinateBodyRank1) {
@@ -407,6 +411,7 @@ TEST(WithLoopEquivalence, RandomGenarrayCompiledMatchesReference) {
     ASSERT_EQ(com, ref) << "trial " << trial << " shape " << c.shape.to_string();
     ASSERT_EQ(c.with.genarray(c.shape, -7, par4), ref)
         << "parallel trial " << trial;
+    ASSERT_EQ(c.with.genarray(c.shape, -7, kPool3), ref) << "pool trial " << trial;
   }
 }
 
@@ -423,6 +428,7 @@ TEST(WithLoopEquivalence, RandomModarrayCompiledMatchesReference) {
     const auto ref = c.with.modarray(src, kReference1);
     ASSERT_EQ(c.with.modarray(src, kCompiled1), ref) << "trial " << trial;
     ASSERT_EQ(c.with.modarray(src, par4), ref) << "parallel trial " << trial;
+    ASSERT_EQ(c.with.modarray(src, kPool3), ref) << "pool trial " << trial;
   }
 }
 
@@ -438,6 +444,7 @@ TEST(WithLoopEquivalence, RandomFoldCompiledMatchesReference) {
     const int ref = c.with.fold(plus, 0, kReference1);
     ASSERT_EQ(c.with.fold(plus, 0, kCompiled1), ref) << "trial " << trial;
     ASSERT_EQ(c.with.fold(plus, 0, par4), ref) << "parallel trial " << trial;
+    ASSERT_EQ(c.with.fold(plus, 0, kPool3), ref) << "pool trial " << trial;
   }
 }
 
@@ -455,5 +462,124 @@ TEST(WithLoopEquivalence, RandomBoolGenarrayCompiledMatchesReference) {
                        .gen_val({cut / 2}, {cut}, true);
     const auto ref = w.genarray(Shape{n}, false, kReference1);
     ASSERT_EQ(w.genarray(Shape{n}, false, kCompiled1), ref) << "trial " << trial;
+    ASSERT_EQ(w.genarray(Shape{n}, false, kPool3), ref) << "pool trial " << trial;
   }
+}
+
+TEST(WithLoopEquivalence, BodyResultConvertsThroughElementType) {
+  // A body may return another type than T; both engines convert through T
+  // (2 -> true -> one byte), not straight to the storage byte.
+  const auto w = With<bool>().gen({0}, {50}, [](const Index& iv) {
+    return static_cast<int>(iv[0] % 3);
+  });
+  const auto ref = w.genarray(Shape{50}, false, kReference1);
+  EXPECT_EQ(w.genarray(Shape{50}, false, kCompiled1), ref);
+  EXPECT_EQ(w.genarray(Shape{50}, false, kPool3), ref);
+  const auto sum = [](int a, int b) { return a + b; };
+  const auto counts = With<int>().gen({0}, {50}, [&ref](const Index& iv) {
+    return ref[iv] ? 1 : 0;
+  });
+  EXPECT_EQ(counts.fold(sum, 0, kCompiled1), 33);
+  EXPECT_EQ(counts.fold(sum, 0, kPool3), 33);
+  for (std::int64_t i = 0; i < 50; ++i) {
+    EXPECT_EQ(ref.linear(i), i % 3 != 0) << "at " << i;
+  }
+}
+
+TEST(WithLoopEquivalence, BodyPassedAsStdFunctionMatchesReference) {
+  // A caller may hand gen a With<T>::Body itself rather than a lambda.
+  const With<int>::Body body = [](const Index& iv) {
+    return static_cast<int>(iv[0] * 10 + iv[1]);
+  };
+  const auto w = With<int>().gen({1, 0}, {6, 7}, body);
+  const auto ref = w.genarray(Shape{6, 7}, -1, kReference1);
+  EXPECT_EQ(w.genarray(Shape{6, 7}, -1, kCompiled1), ref);
+  EXPECT_EQ(w.genarray(Shape{6, 7}, -1, kPool3), ref);
+  EXPECT_EQ((ref[{3, 4}]), 34);
+  const auto plus = [](int a, int b) { return a + b; };
+  EXPECT_EQ(w.fold(plus, 0, kPool3), w.fold(plus, 0, kReference1));
+}
+
+// ---- Bounds checks inside compiled generic bodies -----------------------
+//
+// The compiled engine inlines generic bodies, and with them every
+// selection's Shape::linearize; the rank and bounds checks must survive.
+
+TEST(WithLoopBounds, BodyReadingOutsideItsArrayThrowsInEveryEngine) {
+  const std::int64_t R = 40;
+  const std::int64_t C = 30;
+  Array<int> g(Shape{R, C}, 0);
+  for (std::int64_t i = 0; i < g.element_count(); ++i) {
+    g.set_linear(i, static_cast<int>(i % 17));
+  }
+  // Row 0 reads g[{-1, j}]: the stencil's north neighbour off the edge.
+  const auto w = With<int>().gen({0, 1}, {R - 1, C - 1}, [&g](const Index& iv) {
+    const auto i = iv[0];
+    const auto j = iv[1];
+    return g[{i - 1, j}] + g[{i + 1, j}];
+  });
+  const auto sum = [](int a, int b) { return a + b; };
+  for (const Context& ctx : {kCompiled1, kReference1, kPool3, kReferencePool3}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << ctx.threads << " compiled "
+                                      << ctx.compiled);
+    EXPECT_THROW(w.genarray(Shape{R, C}, 0, ctx), ShapeError);
+    EXPECT_THROW(w.modarray(g, ctx), ShapeError);
+    EXPECT_THROW(w.fold(sum, 0, ctx), ShapeError);
+    EXPECT_THROW(w.lazy_genarray(Shape{R, C}, 0).to_array(ctx), ShapeError);
+  }
+}
+
+TEST(WithLoopBounds, BodySelectingWithWrongRankThrows) {
+  const Array<int> g(Shape{4, 4}, 1);
+  const auto w = With<int>().gen({0, 0}, {4, 4}, [&g](const Index& iv) {
+    return g[{iv[0]}];  // a rank-1 index into a rank-2 array
+  });
+  for (const Context& ctx : {kCompiled1, kReference1, kPool3, kReferencePool3}) {
+    EXPECT_THROW(w.genarray(Shape{4, 4}, 0, ctx), ShapeError);
+  }
+}
+
+// ---- Nested with-loops inside a generic body ----------------------------
+
+TEST(WithLoopNested, InnerFoldPerCellMatchesReferenceUnderPool) {
+  // The sudoku is_stuck -> options_at pattern: every outer cell runs its
+  // own fold over a row of a rank-3 option cube, on the same pool.
+  constexpr std::int64_t N = 9;
+  std::mt19937 rng(31337);
+  Array<int> board(Shape{N, N}, 0);
+  Array<bool> opts(Shape{N, N, N}, false);
+  for (std::int64_t i = 0; i < board.element_count(); ++i) {
+    board.set_linear(i, static_cast<int>(rng() % 3 == 0 ? 1 + rng() % N : 0));
+  }
+  for (std::int64_t i = 0; i < opts.element_count(); ++i) {
+    opts.set_linear(i, rng() % 4 == 0);
+  }
+  const auto plus = [](int a, int b) { return a + b; };
+  const auto count_at = [&](std::int64_t i, std::int64_t j, const Context& ctx) {
+    return With<int>()
+        .gen({i, j, 0}, {i + 1, j + 1, N},
+             [&opts](const Index& iv) { return opts[iv] ? 1 : 0; })
+        .fold(plus, 0, ctx);
+  };
+  const auto counts = [&](const Context& ctx) {
+    return With<int>()
+        .gen({0, 0}, {N, N},
+             [&](const Index& iv) {
+               return board[iv] != 0 ? -1 : count_at(iv[0], iv[1], ctx);
+             })
+        .genarray(Shape{N, N}, -2, ctx);
+  };
+  const auto stuck = [&](const Context& ctx) {
+    return With<bool>()
+        .gen({0, 0}, {N, N},
+             [&](const Index& iv) {
+               return board[iv] == 0 && count_at(iv[0], iv[1], ctx) == 0;
+             })
+        .fold([](bool a, bool b) { return a || b; }, false, ctx);
+  };
+  const auto ref = counts(kReference1);
+  EXPECT_EQ(counts(kCompiled1), ref);
+  EXPECT_EQ(counts(kPool3), ref);
+  EXPECT_EQ(stuck(kPool3), stuck(kReference1));
+  EXPECT_EQ(stuck(kCompiled1), stuck(kReference1));
 }
